@@ -21,7 +21,7 @@
 //!
 //! The **write-contention axis** (`store_write_hot_key_<n>_threads/`)
 //! asks the write-path question: N threads batch-updating ONE hot key,
-//! leased shared-lock path (`shared`) vs the exclusive-lock baseline
+//! pooled-handle shared-lock path (`shared`) vs the exclusive-lock baseline
 //! (`fallback`, pinned via `writer_pool(0)`). The multi-thread shared
 //! series must scale; the baseline serializes by construction.
 //!
@@ -189,9 +189,9 @@ const WRITE_BATCHES_TOTAL: usize = 512;
 
 /// One pass of the hot-key write-contention axis: `threads` writers split
 /// `WRITE_BATCHES_TOTAL` batches of `WRITE_BATCH` elements on ONE
-/// pre-promoted key. `shared` selects the leased-writer fast path; the
+/// pre-promoted key. `shared` selects the pooled-handle fast path; the
 /// baseline pins `writer_pool(0)`, so every batch serializes on the
-/// stripe write lock — the cost all hot-key writes paid before leases.
+/// stripe write lock.
 fn write_contention_store(seed: u64, shared: bool) -> SketchStore {
     let mut cfg = cfg(4, seed).promotion_threshold(128);
     if !shared {
@@ -226,7 +226,7 @@ fn run_write_contention(store: &SketchStore, threads: usize) -> u64 {
 }
 
 /// The tentpole acceptance axis for the write path: hot-key `update_many`
-/// under 1/2/4 threads, leased shared path vs exclusive-lock baseline.
+/// under 1/2/4 threads, shared path vs exclusive-lock baseline.
 fn bench_write_contention(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         let mut group = c.benchmark_group(format!("store_write_hot_key_{threads}_threads"));
@@ -459,45 +459,36 @@ fn bench_wal_overhead(c: &mut Criterion) {
 
 const GROUP_OPS_PER_THREAD: usize = 32;
 
-/// The group-commit acceptance axis: N concurrent durable writers under
-/// `PerFrame`, leader-based group commit (`group`, the default) vs the
-/// pre-split per-writer-fsync discipline (`per_writer`, pinned via
-/// `wal_group_commit(false)`). Every op is a single-element durable
-/// update — one ack ⇒ one covered LSN — so at 1 thread the two series
-/// must sit together (one append, one fsync either way), while at 4
-/// threads the group series shares each ~170 µs fsync across all
-/// writers and must pull multiples ahead of the serialized baseline.
-fn bench_wal_group_commit(c: &mut Criterion) {
+/// The group-commit axis: N concurrent durable writers under `PerFrame`,
+/// sharing fsyncs through leader-based group commit. Every op is a
+/// single-element durable update — one ack ⇒ one covered LSN — so at 1
+/// thread each op pays its own fsync, while at 4 threads each ~170 µs
+/// fsync is shared across all writers.
+fn bench_group_commit(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         let mut group = c.benchmark_group(format!("store_wal_group_{threads}_threads"));
         group.sample_size(10);
         group.throughput(Throughput::Elements((threads * GROUP_OPS_PER_THREAD) as u64));
-        for (name, grouped) in [("group", true), ("per_writer", false)] {
-            group.bench_function(name, |bencher| {
-                let dir = qc_workloads::TempDir::new("bench-wal-group");
-                let config = cfg(4, 101)
-                    .data_dir(dir.path())
-                    .fsync(qc_store::FsyncPolicy::PerFrame)
-                    .wal_group_commit(grouped);
-                let store = SketchStore::<f64>::recover(config).expect("fresh data dir").0;
-                bencher.iter(|| {
-                    std::thread::scope(|s| {
-                        for t in 0..threads {
-                            let store = &store;
-                            s.spawn(move || {
-                                let mut gen =
-                                    StreamGen::new(Distribution::Uniform, 0x9a + t as u64);
-                                let key = format!("writer-{t}");
-                                for _ in 0..GROUP_OPS_PER_THREAD {
-                                    store.update(&key, gen.next_f64());
-                                }
-                            });
-                        }
-                    });
-                    black_box(store.stats().updates)
+        group.bench_function("group", |bencher| {
+            let dir = qc_workloads::TempDir::new("bench-wal-group");
+            let config = cfg(4, 101).data_dir(dir.path()).fsync(qc_store::FsyncPolicy::PerFrame);
+            let store = SketchStore::<f64>::recover(config).expect("fresh data dir").0;
+            bencher.iter(|| {
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let store = &store;
+                        s.spawn(move || {
+                            let mut gen = StreamGen::new(Distribution::Uniform, 0x9a + t as u64);
+                            let key = format!("writer-{t}");
+                            for _ in 0..GROUP_OPS_PER_THREAD {
+                                store.update(&key, gen.next_f64());
+                            }
+                        });
+                    }
                 });
+                black_box(store.stats().updates)
             });
-        }
+        });
         group.finish();
     }
 }
@@ -548,7 +539,7 @@ criterion_group!(
     bench_read_heavy_mixed,
     bench_telemetry_overhead,
     bench_wal_overhead,
-    bench_wal_group_commit,
+    bench_group_commit,
     bench_wire_roundtrip,
     bench_merged_query
 );

@@ -1,23 +1,23 @@
 //! The ingest daemon: one never-blocking socket thread, a bounded queue,
-//! N processor threads draining into the store's leased write path.
+//! N processor threads draining into the store's write path.
 //!
 //! ```text
 //!   UDP socket ──recv──▶ socket thread ──try_push──▶ BoundedQueue
 //!                          │   ▲                        │ pop
 //!                          │   └─ CircuitBreaker        ▼
 //!                          ▼                      processor × N
-//!                     shed / count                 decode → leases
+//!                     shed / count                    decode
 //!                                                      │
 //!                                                      ▼
-//!                                       SketchStore::update_many_leased
+//!                                          SketchStore::update_many
 //! ```
 //!
 //! The socket thread does nothing that can block: `recv` (with a short
 //! timeout so shutdown is bounded even if the wake datagram is lost),
 //! an oversize check, a breaker decision, and a `try_push` that returns
-//! immediately when the queue is full. All sketch work — decode, lease
-//! checkout, Gather&Sort — happens on the processor threads, which may
-//! fall behind; when they do, datagrams are **dropped and counted**,
+//! immediately when the queue is full. All sketch work — decode, writer
+//! handle checkout, Gather&Sort — happens on the processor threads,
+//! which may fall behind; when they do, datagrams are **dropped and counted**,
 //! never buffered unboundedly (the queue is the only buffer, and it is
 //! bounded). This is the small-update-time regime of streaming ingest:
 //! per-packet cost on the receive path is O(1) and independent of the
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qc_store::{SketchStore, WriterLease};
+use qc_store::SketchStore;
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, Registry};
 
 use crate::breaker::{Admit, BreakerConfig, CircuitBreaker, Transition};
@@ -428,85 +428,17 @@ fn socket_loop(
     }
 }
 
-/// A cached lease goes back to the store's pool after sitting unused for
-/// this many processed datagrams.
-const LEASE_IDLE_DATAGRAMS: u64 = 4096;
-
-/// Datagrams between idle-lease sweeps.
-const LEASE_SWEEP_INTERVAL: u64 = 512;
-
-/// Per-processor writer leases, one per recently written key — the same
-/// per-thread-handle discipline as the TCP connection loop, so N
-/// processors hammering one hot key synchronize inside the sketch
-/// (Gather&Sort/DCAS), not on a store mutex.
-///
-/// On a durable store, each leased write blocks (lock free) until its
-/// log record is group-committed — all processors draining concurrently
-/// share fsyncs through the store's commit sequencer, so durable ingest
-/// throughput scales with group size rather than paying one disk flush
-/// per drained batch.
-struct ProcLeases {
-    leases: HashMap<String, (WriterLease<f64>, u64)>,
-    datagrams: u64,
-}
-
-impl ProcLeases {
-    fn new() -> Self {
-        ProcLeases { leases: HashMap::new(), datagrams: 0 }
-    }
-
-    fn write(&mut self, store: &SketchStore, key: &str, values: &[f64]) {
-        if let Some((lease, used)) = self.leases.get_mut(key) {
-            match store.update_many_leased(key, lease, values) {
-                Ok(()) => {
-                    *used = self.datagrams;
-                    return;
-                }
-                // Removed, demoted, or re-created since minting; the
-                // rejected lease holds no weight.
-                Err(qc_store::StaleLease) => {
-                    self.leases.remove(key);
-                }
-            }
-        }
-        store.update_many(key, values);
-        if let Some(lease) = store.lease_writer(key) {
-            self.leases.insert(key.to_owned(), (lease, self.datagrams));
-        }
-    }
-
-    fn tick(&mut self, store: &SketchStore) {
-        self.datagrams += 1;
-        if !self.datagrams.is_multiple_of(LEASE_SWEEP_INTERVAL) {
-            return;
-        }
-        let now = self.datagrams;
-        let idle: Vec<String> = self
-            .leases
-            .iter()
-            .filter(|(_, (_, used))| now.saturating_sub(*used) > LEASE_IDLE_DATAGRAMS)
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in idle {
-            if let Some((lease, _)) = self.leases.remove(&key) {
-                store.return_lease(&key, lease);
-            }
-        }
-    }
-
-    fn release_all(&mut self, store: &SketchStore) {
-        for (key, (lease, _)) in self.leases.drain() {
-            store.return_lease(&key, lease);
-        }
-    }
-}
-
+/// Drain datagrams into the store. Each record is one
+/// [`SketchStore::update_many`] call, so N processors hammering one hot
+/// key synchronize inside the sketch (Gather&Sort/DCAS), not on a store
+/// mutex. On a durable store each call blocks (lock free) until its log
+/// record is group-committed — processors draining concurrently share
+/// fsyncs through the store's commit sequencer.
 fn processor_loop(
     queue: &BoundedQueue<Vec<u8>>,
     store: &SketchStore,
     instruments: &IngestInstruments,
 ) {
-    let mut leases = ProcLeases::new();
     while let Some(datagram) = queue.pop() {
         instruments.queue_depth.dec();
         let start = Instant::now();
@@ -518,7 +450,7 @@ fn processor_loop(
             Ok(records) => {
                 let mut values = 0u64;
                 for rec in &records {
-                    leases.write(store, &rec.key, &rec.values);
+                    store.update_many(&rec.key, &rec.values);
                     values += rec.values.len() as u64;
                 }
                 // Applied counters move only after every record landed, so
@@ -529,7 +461,5 @@ fn processor_loop(
             }
         }
         instruments.batch_seconds.record_duration(start.elapsed());
-        leases.tick(store);
     }
-    leases.release_all(store);
 }

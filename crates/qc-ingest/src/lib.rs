@@ -17,11 +17,11 @@
 //!   sheds sustained overload with exponential backoff.
 //! * [`daemon`] — the assembled [`daemon::IngestDaemon`]: one socket
 //!   thread that never blocks, N processors draining batches into
-//!   [`qc_store::SketchStore::update_many_leased`] with per-thread lease
-//!   reuse, exact drop accounting (queue-full, decode-error, oversized —
-//!   each its own counter), and `qc-telemetry` instruments in the store's
-//!   registry, so drops and queue depth travel over the existing
-//!   `Metrics` frame.
+//!   [`qc_store::SketchStore::update_many`] (hot keys ride its
+//!   shared-lock path), exact drop accounting (queue-full, decode-error,
+//!   oversized — each its own counter), and `qc-telemetry` instruments
+//!   in the store's registry, so drops and queue depth travel over the
+//!   existing `Metrics` frame.
 //!
 //! Delivery is **at-most-once**: every received datagram is applied
 //! whole or dropped whole, and every drop is counted. The conservation

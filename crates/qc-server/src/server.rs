@@ -8,16 +8,13 @@
 //! connections issuing `Update`/`UpdateMany` and reader connections
 //! issuing `Query`/`MergedQuery` against the same [`SketchStore`].
 //!
-//! Writer connections are the paper's update threads end to end: each
-//! connection caches one [`qc_store::WriterLease`] per recently written
-//! key, so repeated `Update`/`UpdateMany` frames reuse the same
-//! per-thread writer handle under only the **shared** stripe lock —
-//! N connections hammering one hot key synchronize inside the sketch
-//! (Gather&Sort/DCAS), not on a store mutex. Leases are generation-
-//! checked by the store on every use (`remove`/demotion invalidates them
-//! mid-connection, falling back transparently), evicted after sitting
-//! idle for [`LEASE_IDLE_FRAMES`] frames, and returned to the store's
-//! per-key pools when the connection closes.
+//! Writer connections are the paper's update threads end to end: every
+//! `Update`/`UpdateMany` frame is one [`SketchStore::update_many`] call,
+//! which writes a hot key through a pooled per-thread handle under only
+//! the **shared** stripe lock — N connections hammering one hot key
+//! synchronize inside the sketch (Gather&Sort/DCAS), not on a store
+//! mutex. The connection holds no store state between frames, so
+//! `remove` and demotion need nothing from it.
 //!
 //! On a durable store, a mutating request is **acked only after its log
 //! record is on disk** (under `FsyncPolicy::PerFrame`): the worker's
@@ -42,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qc_store::{SketchStore, StoreConfig, WriterLease};
+use qc_store::{SketchStore, StoreConfig};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, Registry};
 
 use crate::pool::ThreadPool;
@@ -278,9 +275,6 @@ struct ServerInstruments {
     conns_closed_shutdown: Counter,
     /// `server_active_connections`: currently served connections.
     active_connections: Gauge,
-    /// `server_lease_fallbacks`: stale-lease rejections that fell back to
-    /// the store's two-tier write path.
-    lease_fallbacks: Counter,
     /// `server_sweeps`: housekeeping cool-down sweeps completed.
     sweeps: Counter,
     /// `server_sweep_seconds`: sweep duration sketch.
@@ -309,7 +303,6 @@ impl ServerInstruments {
             conns_closed_error: registry.counter("server_conns_closed_error"),
             conns_closed_shutdown: registry.counter("server_conns_closed_shutdown"),
             active_connections: registry.gauge("server_active_connections"),
-            lease_fallbacks: registry.counter("server_lease_fallbacks"),
             sweeps: registry.counter("server_sweeps"),
             sweep_seconds: registry.latency("server_sweep_seconds"),
             slow_threshold,
@@ -596,89 +589,6 @@ fn handle_connection(
     instruments.registry.event(EventKind::ConnClose, format!("peer={peer} outcome={outcome:?}"));
 }
 
-/// A cached lease is evicted (and returned to the store's pool) once this
-/// many frames pass without the connection writing to its key — a
-/// connection that drifts across many keys must not pin a pool slot on
-/// every one of them forever.
-pub const LEASE_IDLE_FRAMES: u64 = 4096;
-
-/// Frames between idle-lease sweeps of a connection's cache.
-const LEASE_SWEEP_INTERVAL: u64 = 512;
-
-/// A connection's writer leases: one per recently written key, tagged
-/// with the frame number of its last use.
-struct ConnLeases {
-    leases: HashMap<String, (WriterLease<f64>, u64)>,
-    frame: u64,
-}
-
-impl ConnLeases {
-    fn new() -> Self {
-        ConnLeases { leases: HashMap::new(), frame: 0 }
-    }
-
-    /// Write a batch for `key`, through the cached lease when it is still
-    /// valid, else through the store's own two-tier path — acquiring a
-    /// lease for next time when the key's engine hands one out.
-    fn write(
-        &mut self,
-        store: &SketchStore,
-        instruments: &ServerInstruments,
-        key: String,
-        values: &[f64],
-    ) {
-        if let Some((lease, used)) = self.leases.get_mut(&key) {
-            match store.update_many_leased(&key, lease, values) {
-                Ok(()) => {
-                    *used = self.frame;
-                    return;
-                }
-                // The key was removed, demoted, or re-created since the
-                // lease was minted. The rejected lease holds no weight —
-                // drop it and fall through to the normal path.
-                Err(qc_store::StaleLease) => {
-                    self.leases.remove(&key);
-                    instruments.lease_fallbacks.incr();
-                    instruments.registry.event(EventKind::LeaseFallback, format!("key={key}"));
-                }
-            }
-        }
-        store.update_many(&key, values);
-        if let Some(lease) = store.lease_writer(&key) {
-            let frame = self.frame;
-            self.leases.insert(key, (lease, frame));
-        }
-    }
-
-    /// Per-frame bookkeeping: every `LEASE_SWEEP_INTERVAL` frames, return
-    /// leases that sat idle past `LEASE_IDLE_FRAMES` to the store.
-    fn tick(&mut self, store: &SketchStore) {
-        self.frame += 1;
-        if !self.frame.is_multiple_of(LEASE_SWEEP_INTERVAL) {
-            return;
-        }
-        let frame = self.frame;
-        let idle: Vec<String> = self
-            .leases
-            .iter()
-            .filter(|(_, (_, used))| frame.saturating_sub(*used) > LEASE_IDLE_FRAMES)
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in idle {
-            if let Some((lease, _)) = self.leases.remove(&key) {
-                store.return_lease(&key, lease);
-            }
-        }
-    }
-
-    /// Hand every lease back to the store's pools (connection teardown).
-    fn release_all(&mut self, store: &SketchStore) {
-        for (key, (lease, _)) in self.leases.drain() {
-            store.return_lease(&key, lease);
-        }
-    }
-}
-
 fn serve_frames(
     stream: &TcpStream,
     peer: SocketAddr,
@@ -692,8 +602,7 @@ fn serve_frames(
     // stream itself plus the registry clone `stop` severs).
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
-    let mut leases = ConnLeases::new();
-    let outcome = loop {
+    loop {
         if shutdown.load(Ordering::Relaxed) {
             break ConnOutcome::Shutdown;
         }
@@ -737,7 +646,7 @@ fn serve_frames(
                 op.requests.incr();
                 op.bytes.add(body.len() as u64);
                 let start = Instant::now();
-                let response = execute(store, req, shutdown, &mut leases, instruments);
+                let response = execute(store, req, shutdown);
                 let elapsed = start.elapsed();
                 op.latency.record_duration(elapsed);
                 if elapsed >= instruments.slow_threshold {
@@ -749,27 +658,15 @@ fn serve_frames(
                 response
             }
         };
-        leases.tick(store);
         if write_frame(&mut writer, &response.encode()).is_err() || writer.flush().is_err() {
             instruments.io_errors.incr();
             instruments.registry.event(EventKind::IoError, format!("peer={peer} response write"));
             break ConnOutcome::IoError;
         }
-    };
-    // Give the held writer handles back to the store's per-key pools so
-    // other connections can reuse them (a dropped lease would strand its
-    // pool slot until the next housekeeping sweep).
-    leases.release_all(store);
-    outcome
+    }
 }
 
-fn execute(
-    store: &SketchStore,
-    req: Request,
-    shutdown: &AtomicBool,
-    leases: &mut ConnLeases,
-    instruments: &ServerInstruments,
-) -> Response {
+fn execute(store: &SketchStore, req: Request, shutdown: &AtomicBool) -> Response {
     if shutdown.load(Ordering::Relaxed) {
         return Response::Error {
             code: ErrorCode::Unavailable,
@@ -778,23 +675,18 @@ fn execute(
     }
     match req {
         Request::Update { key, value } => {
-            leases.write(store, instruments, key, &[value]);
+            store.update(&key, value);
             Response::Ok
         }
         Request::UpdateMany { key, values } => {
-            leases.write(store, instruments, key, &values);
+            store.update_many(&key, &values);
             Response::Ok
         }
         Request::Query { key, phi } => Response::MaybeValue(store.query(&key, phi)),
         Request::Rank { key, value } => Response::MaybeValue(store.rank(&key, value)),
         Request::MergedQuery { keys, phi } => Response::MaybeValue(store.merged_query(&keys, phi)),
         Request::Stats => Response::Stats(store.stats()),
-        Request::Remove { key } => {
-            // The generation check would reject the lease anyway; dropping
-            // it promptly frees its pool slot (it holds no weight).
-            leases.leases.remove(&key);
-            Response::Flag(store.remove(&key))
-        }
+        Request::Remove { key } => Response::Flag(store.remove(&key)),
         Request::Keys => Response::Keys(store.keys()),
         Request::Snapshot { key } => Response::MaybeFrame(store.snapshot_bytes(&key)),
         Request::Ingest { key, frame } => match store.ingest_bytes(&key, &frame) {
@@ -803,9 +695,6 @@ fn execute(
         },
         Request::Metrics => Response::Metrics(store.telemetry_snapshot()),
         Request::UpdateAt { key, ts, values } => {
-            // Timestamped writes take the store path directly: a window
-            // roll retires leases anyway, and on an unwindowed store this
-            // is plain `update_many`.
             store.update_at(&key, ts, &values);
             Response::Ok
         }

@@ -548,11 +548,10 @@ impl<T: OrderedBits> TieredEngine<T> {
     /// Force demotion to the sequential tier via an exact summary
     /// round-trip (no-op if already cold). Resets promotion pressure.
     ///
-    /// Outstanding leased writers of the hot engine must already be
-    /// invalidated by the owner (the store bumps the key's lease
-    /// generation): their flushed weight rides the summary round-trip; a
-    /// handle itself becomes a write into an orphaned sketch and is
-    /// rejected by the generation check before it can run.
+    /// Leased writers of the hot engine must already be flushed and out
+    /// of use (the store demotes under the exclusive stripe lock, when
+    /// every handle is back in the key's pool): their flushed weight
+    /// rides the summary round-trip, and the store drops the handles.
     pub fn demote_now(&mut self) {
         if let TierState::Hot(hot) = &self.state {
             let summary = hot.to_summary();

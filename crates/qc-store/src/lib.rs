@@ -73,8 +73,7 @@ pub use persist::{
     CheckpointError, CheckpointStats, FsyncPolicy, PersistError, RecordError, RecoveryReport,
 };
 pub use store::{
-    SketchStore, StaleLease, StoreConfig, StoreStats, WriterLease, DEFAULT_PROMOTION_THRESHOLD,
-    DEFAULT_WRITER_POOL,
+    SketchStore, StoreConfig, StoreStats, DEFAULT_PROMOTION_THRESHOLD, DEFAULT_WRITER_POOL,
 };
 pub use window::{WindowConfig, WindowSnapshot};
 pub use wire::{decode_summary, encode_summary, WireError};

@@ -1004,14 +1004,6 @@ impl Wal {
         Ok(SyncTicket { file, covered: self.last_lsn(), path, sealed })
     }
 
-    /// Fsync the active segment in place, under the mutex. Only the
-    /// legacy per-writer-fsync mode (`StoreConfig::wal_group_commit =
-    /// false`, the bench baseline) uses this.
-    pub(crate) fn sync_inline(&mut self) -> Result<(), PersistError> {
-        let path = self.dir.join(segment_file_name(self.seq));
-        self.file.sync_data().map_err(|e| PersistError::new("fsync", path, e))
-    }
-
     /// Swap in a freshly created successor segment (built by
     /// [`create_segment`] with no lock held) and seal the current one.
     /// Returns the sealed segment's file — **not yet fsync'd**; the

@@ -41,46 +41,44 @@
 //!   materializing, so a summary is never tagged newer than its
 //!   contents;
 //! * **exclusive writers** (`ingest_bytes`, `cool_down`, `remove`, the
-//!   fallback write path) take the exclusive lock; **leased writers**
+//!   exclusive write path) take the exclusive lock; **shared writers**
 //!   (the shared write path below) mutate the engine under the shared
 //!   lock but bump the engine version around every weight movement — so
-//!   a summary materialized while a leased write was in flight carries a
+//!   a summary materialized while a shared write was in flight carries a
 //!   tag the write's completion bump supersedes, and no read ever serves
 //!   a summary whose version matches the engine's *settled* state while
 //!   missing weight that state accounts for.
 //!
-//! # Write path: leased per-thread writer handles
+//! # Write path: one batch writer
 //!
 //! The paper's writers never serialize — each thread fills a local buffer
 //! and synchronizes only at Gather&Sort/DCAS points. The store mirrors
-//! that through [`qc_common::engine::SharedIngest`]: each key carries a
-//! small pool of leased writer handles tagged with a **generation**, and
-//! `update_many` becomes a two-tier path:
+//! that through [`qc_common::engine::SharedIngest`]. Every write —
+//! `update`, `update_many`, `update_at`, and recovery replay — goes
+//! through one private batch writer that takes the target window (the
+//! key's active window, a resolved window id, or 0 forever on an
+//! unwindowed store) and has exactly two ways in:
 //!
-//! * **shared fast path** — for an existing key whose engine leases
-//!   writers (hot/concurrent tiers), the batch is written through a
-//!   pooled per-thread handle under only the **shared** stripe lock:
-//!   N writers on one hot key synchronize inside the engine (the paper's
-//!   propagation points), not on the stripe. Every fast-path call flushes
-//!   its handle before returning it, so handles hold **zero weight while
-//!   idle** and reads stay exact at quiescence;
-//! * **exclusive slow path** — key creation, cold/sequential keys (whose
-//!   exclusive writes are what drives tier promotion), and pool
-//!   exhaustion fall back to the stripe write lock, byte-identical to the
-//!   old behavior. [`StoreStats::shared_writes`] /
-//!   [`StoreStats::fallback_writes`] count the split.
+//! * **shared fast path** — for an existing key whose engine hands out
+//!   writer handles (hot/concurrent tiers), when the batch targets the
+//!   active window: a handle is checked out of the key's small pool,
+//!   written, **flushed**, and given back, all inside one **shared**
+//!   stripe-lock hold. N writers on one hot key synchronize inside the
+//!   engine (the paper's propagation points), not on the stripe, and
+//!   pooled handles hold **zero weight while idle**, so reads stay exact
+//!   at quiescence;
+//! * **exclusive path** — key creation, cold/sequential keys (whose
+//!   exclusive writes are what drives tier promotion), an exhausted pool,
+//!   a window roll-forward and a late merge take the stripe write lock.
+//!   [`StoreStats::shared_writes`] / [`StoreStats::fallback_writes`]
+//!   count the split.
 //!
-//! Callers that keep a handle across calls (the serving layer's
-//! per-connection lease cache) use [`SketchStore::lease_writer`] /
-//! [`SketchStore::update_many_leased`] / [`SketchStore::return_lease`].
-//! `remove`, demotion (`cool_down`), and re-creation each assign the key
-//! a fresh generation from a store-wide counter, so a stale lease can
-//! **never** write into a successor engine: every leased write validates
-//! the generation under the same shared-lock hold as the write itself.
-//! Conservation is exact by construction — a lease buffers weight only
-//! inside a single (locked) write call, every such call ends in a flush,
-//! and invalidation happens under the exclusive lock, which no write can
-//! overlap.
+//! No handle ever leaves the shared-lock hold that checked it out, so no
+//! handle exists outside the pool while an exclusive section runs.
+//! Demotion (`cool_down`), a window roll and `remove` therefore need no
+//! generation tags: dropping the idle handles and resetting the mint
+//! count is the whole invalidation, and conservation is exact by
+//! construction.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -128,11 +126,11 @@ pub struct StoreConfig {
     /// update beyond the threshold (`0` promotes on the first update,
     /// `u64::MAX` pins keys cold). Ignored by non-tiered engines.
     pub promotion_threshold: u64,
-    /// Per-key writer-handle pool capacity: at most this many leased
-    /// writer handles exist per key (pooled + checked out). `0` disables
-    /// the shared-lock write path entirely — every write takes the
-    /// exclusive fallback, which is the pre-lease behavior (and the
-    /// baseline the write benchmarks compare against).
+    /// Per-key writer-handle pool capacity: at most this many writer
+    /// handles exist per key, i.e. at most this many batches ride the
+    /// shared-lock write path on one key at once. `0` disables the shared
+    /// path entirely — every write takes the exclusive lock (the baseline
+    /// the write benchmarks compare against).
     pub writer_pool: usize,
     /// Metrics registry the store records into. `None` (the default) makes
     /// the store create its own live [`Registry`]; pass a shared one to
@@ -159,16 +157,6 @@ pub struct StoreConfig {
     /// setting. A small non-zero delay trades ack latency for fewer,
     /// larger groups (throughput under heavy concurrency).
     pub group_commit_delay: Duration,
-    /// Whether durable writers share fsyncs through leader-based group
-    /// commit (`true`, the default) or each [`FsyncPolicy::PerFrame`]
-    /// append pays its own fsync inline under the append mutex
-    /// (`false` — the pre-group-commit behavior, kept as the benchmark
-    /// baseline; nothing else should use it). The baseline exists for
-    /// `PerFrame` **only**: under `Interval`/`Off` durability still
-    /// routes through the group-commit sequencer regardless of this
-    /// flag, so `recover` debug-asserts that `false` is paired with
-    /// `PerFrame`.
-    pub wal_group_commit: bool,
     /// Time-windowed operation (see [`crate::window`]). `None` (the
     /// default) keeps every key a single unbounded stream — exactly the
     /// previous behavior. With a [`WindowConfig`], each key partitions
@@ -194,7 +182,6 @@ impl Default for StoreConfig {
             data_dir: None,
             fsync: FsyncPolicy::PerFrame,
             group_commit_delay: Duration::ZERO,
-            wal_group_commit: true,
             window: None,
         }
     }
@@ -202,7 +189,7 @@ impl Default for StoreConfig {
 
 /// Default per-key writer-handle pool capacity — sized to the serving
 /// layer's default worker count, so every connection of a default server
-/// can hold a lease on one hot key.
+/// can write one hot key through the shared path at once.
 pub const DEFAULT_WRITER_POOL: usize = 8;
 
 /// Default per-key promotion threshold: roughly where the concurrent
@@ -274,14 +261,6 @@ impl StoreConfig {
         self
     }
 
-    /// Enable or disable group commit (see
-    /// [`StoreConfig::wal_group_commit`]; `false` is the benchmark
-    /// baseline only, and only valid with [`FsyncPolicy::PerFrame`]).
-    pub fn wal_group_commit(mut self, enabled: bool) -> Self {
-        self.wal_group_commit = enabled;
-        self
-    }
-
     /// Partition every key's stream into time windows (see
     /// [`StoreConfig::window`] and [`crate::window`]).
     pub fn window(mut self, window: WindowConfig) -> Self {
@@ -346,12 +325,13 @@ pub struct StoreStats {
     /// so `cache_hits + cache_misses >= reads` holds for every sample
     /// (see [`StoreStats::consistency`]). Local-only.
     pub reads: u64,
-    /// Write batches that rode the shared-lock fast path (a leased
+    /// Write batches that rode the shared-lock fast path (a pooled
     /// per-thread writer handle). **Counter**, bumped after `updates`
     /// within the same lock hold. Local-only.
     pub shared_writes: u64,
-    /// Write batches that took the exclusive-lock fallback (key creation,
-    /// cold-tier keys, exhausted pools, or `writer_pool == 0`).
+    /// Write batches that took the exclusive-lock path (key creation,
+    /// cold-tier keys, window rolls and late merges, exhausted pools, or
+    /// `writer_pool == 0`).
     /// **Counter**, bumped after `updates` within the same lock hold.
     /// Local-only.
     pub fallback_writes: u64,
@@ -441,93 +421,19 @@ impl StoreStats {
     }
 }
 
-/// A writer lease checked out of a key's pool with
-/// [`SketchStore::lease_writer`]: an owned per-thread handle plus the
-/// generation tag it was minted under.
-///
-/// The lease is only usable through the store
-/// ([`SketchStore::update_many_leased`]), which re-validates the
-/// generation under the shared stripe lock on every call — so holding a
-/// lease across requests is safe against concurrent `remove`, demotion,
-/// and re-creation of the key. A lease holds **no buffered weight**
-/// between calls (every leased write ends in a flush); dropping one, even
-/// a stale one, never loses stream weight. Dropping also returns the
-/// handle to the key's pool when the generation still matches (a weak
-/// back-reference, checked atomically with the pool's own generation), so
-/// a lease abandoned on a panic or forgotten by a caller cannot pin one
-/// of the key's [`StoreConfig::writer_pool`] mint slots forever.
-pub struct WriterLease<T> {
-    generation: u64,
-    handle: Option<Box<dyn qc_common::engine::StreamIngest<T> + Send>>,
-    pool: std::sync::Weak<Mutex<WriterPool<T>>>,
-}
-
-impl<T> WriterLease<T> {
-    /// The key generation this lease was minted under (diagnostics).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
-impl<T> Drop for WriterLease<T> {
-    fn drop(&mut self) {
-        let (Some(handle), Some(pool)) = (self.handle.take(), self.pool.upgrade()) else {
-            // Key removed (pool deallocated) or handle already returned:
-            // nothing to give back — the handle holds no weight.
-            return;
-        };
-        let mut pool = pool.lock().unwrap();
-        if pool.generation == self.generation {
-            // Flushed by the lease invariant; reusable as-is.
-            pool.idle.push(handle);
-        }
-        // Stale: the generation reset already reclaimed our mint slot.
-    }
-}
-
-impl<T> std::fmt::Debug for WriterLease<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WriterLease").field("generation", &self.generation).finish()
-    }
-}
-
-/// A leased write was rejected because the lease no longer matches the
-/// key's live engine (the key was removed, demoted, or re-created since
-/// the lease was minted). **No weight was written.** Drop the lease and
-/// fall back to [`SketchStore::update_many`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StaleLease;
-
-impl std::fmt::Display for StaleLease {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("writer lease does not match the key's current generation")
-    }
-}
-
-impl std::error::Error for StaleLease {}
-
 /// One key's slot in a stripe map: the live engine, the cached
-/// materialization of its summary, and the leased-writer pool.
+/// materialization of its summary, and the writer-handle pool.
 struct KeyEntry<T, E> {
     engine: E,
-    /// Lease generation: every leased write validates its tag against
-    /// this under the shared stripe lock. Assigned from the store-wide
-    /// counter at creation and re-assigned (under the write lock) by any
-    /// invalidation — tier demotion today; removal retires the entry and
-    /// with it the generation, so a re-created key never reuses one.
-    /// Mirrored into [`WriterPool::generation`] (kept in sync under the
-    /// same write-lock sections) for lease-drop-time validation.
-    generation: u64,
     /// Last materialized summary, tagged with the engine version that
     /// produced it. The inner mutex guards only the tag-compare /
     /// `Arc`-clone critical section (a handful of instructions), so
     /// readers sharing the stripe lock barely serialize on it.
     cache: Mutex<Option<CachedSummary>>,
-    /// Idle leased writer handles plus the mint count; the mutex guards
-    /// only push/pop (writes run **outside** it, so checkouts never
-    /// serialize the data path). `Arc`ed so outstanding [`WriterLease`]s
-    /// can return their handles on drop through a weak back-reference.
-    pool: Arc<Mutex<WriterPool<T>>>,
+    /// Idle writer handles plus the mint count; the mutex guards only
+    /// push/pop (writes run **outside** it, so checkouts never serialize
+    /// the data path).
+    pool: Mutex<WriterPool<T>>,
     /// Highest log LSN applied to this key, advanced (`fetch_max`) under
     /// the same stripe-lock hold as the engine write it tags. A
     /// checkpoint reads it under the exclusive lock — no write in flight —
@@ -550,26 +456,26 @@ struct CachedSummary {
 }
 
 struct WriterPool<T> {
-    /// Mirror of [`KeyEntry::generation`], so a dropping lease can
-    /// validate atomically against concurrent invalidation without the
-    /// stripe lock.
-    generation: u64,
-    /// Handles returned after a flush — they hold no weight while idle.
+    /// Handles given back after a flush — they hold no weight while idle.
     idle: Vec<Box<dyn qc_common::engine::StreamIngest<T> + Send>>,
-    /// Handles minted this generation (idle + checked out), capped by
-    /// [`StoreConfig::writer_pool`].
+    /// Handles minted for the current engine (idle + checked out), capped
+    /// by [`StoreConfig::writer_pool`].
     minted: usize,
 }
 
 impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
-    fn new(engine: E, generation: u64, windowed: bool) -> Self {
+    /// A fresh entry; `window` opens window bookkeeping with that id as
+    /// both the active window and the watermark (`None` when unwindowed).
+    fn new(engine: E, window: Option<u64>) -> Self {
         KeyEntry {
             engine,
-            generation,
             cache: Mutex::new(None),
-            pool: Arc::new(Mutex::new(WriterPool { generation, idle: Vec::new(), minted: 0 })),
+            pool: Mutex::new(WriterPool { idle: Vec::new(), minted: 0 }),
             last_lsn: AtomicU64::new(0),
-            windows: windowed.then(|| Box::new(Mutex::new(WindowState::default()))),
+            windows: window.map(|wid| {
+                let state = WindowState { active_id: wid, watermark: wid, ..Default::default() };
+                Box::new(Mutex::new(state))
+            }),
         }
     }
 
@@ -580,9 +486,10 @@ impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
         self.windows.as_ref().map_or(0, |w| w.lock().unwrap().active_id)
     }
 
-    /// Check a leased writer handle out of the pool (minting one from the
-    /// engine if under the cap). `None` sends the caller to the
-    /// exclusive-lock fallback. Runs under the shared stripe lock.
+    /// Check a writer handle out of the pool (minting one from the engine
+    /// if under the cap). `None` sends the caller to the exclusive path.
+    /// Runs under the shared stripe lock, and the handle goes back
+    /// through [`KeyEntry::give_back`] before that lock is released.
     fn checkout(&self, cap: usize) -> Option<Box<dyn qc_common::engine::StreamIngest<T> + Send>> {
         if cap == 0 {
             return None;
@@ -599,10 +506,21 @@ impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
         Some(handle)
     }
 
-    /// Return a (flushed) handle to the pool. The caller holds the shared
-    /// stripe lock, so the generation cannot have moved since checkout.
+    /// Return a (flushed) handle to the pool, under the same shared-lock
+    /// hold as its checkout.
     fn give_back(&self, handle: Box<dyn qc_common::engine::StreamIngest<T> + Send>) {
         self.pool.lock().unwrap().idle.push(handle);
+    }
+
+    /// Drop every pooled handle and free their mint slots (demotion, a
+    /// window roll, the cool-down sweep). The caller holds the stripe
+    /// exclusively, so every handle is back in the pool, flushed, and
+    /// holds no weight: nothing else needs invalidating.
+    fn reset_pool(&mut self) {
+        let pool = self.pool.get_mut().unwrap();
+        debug_assert_eq!(pool.minted, pool.idle.len(), "a handle outlived its shared-lock hold");
+        pool.idle.clear();
+        pool.minted = 0;
     }
 }
 
@@ -728,10 +646,6 @@ pub struct SketchStore<T: OrderedBits = f64, E: StoreEngine<T> = TieredEngine<T>
     registry: Arc<Registry>,
     /// Registered instrument handles — these back [`SketchStore::stats`].
     instruments: StoreInstruments,
-    /// Store-wide lease-generation source: strictly increasing, never
-    /// reused, so a stale lease can never collide with a successor
-    /// engine's tag.
-    lease_generation: AtomicU64,
     /// The durable log, when this store was built by
     /// [`SketchStore::recover`] with a data directory. `None` everywhere
     /// else, which makes every logging hook a no-op — including during
@@ -805,7 +719,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
             window_plan,
             registry,
             instruments,
-            lease_generation: AtomicU64::new(0),
             persistence: None,
             _marker: std::marker::PhantomData,
         }
@@ -832,15 +745,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         let Some(dir) = cfg.data_dir.clone() else {
             return Ok((Self::with_engine(cfg), RecoveryReport::default()));
         };
-        // The baseline flag only models pre-group-commit behavior under
-        // PerFrame (inline fsync per append); Interval/Off route through
-        // the sequencer regardless, so combining them with the flag off
-        // would benchmark a configuration that doesn't exist.
-        debug_assert!(
-            cfg.wal_group_commit || matches!(cfg.fsync, FsyncPolicy::PerFrame),
-            "wal_group_commit=false is the PerFrame benchmark baseline only; \
-             Interval/Off always use the group-commit sequencer"
-        );
         let recovered = persist::recover_dir(&dir)?;
         // Build with persistence unattached: replay below runs through the
         // public write paths without re-logging itself.
@@ -874,10 +778,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                     // record lands in the exact window it was applied to.
                     // A windowed log replayed into an unwindowed store
                     // collapses into the flat stream, conserving weight.
-                    match store.window_plan {
-                        Some(plan) => store.update_wid(key, *window, &values, plan),
-                        None => store.update_many(key, &values),
-                    }
+                    store.write_batch(key, store.window_plan.map(|_| *window), &values);
                     store.note_applied_lsn(key, record.lsn);
                 }
                 RecordOp::Ingest { key, frame } => {
@@ -975,8 +876,8 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// Returns the append's durability ticket — the assigned LSN — to be
     /// redeemed through [`SketchStore::finish_log`] **after** the stripe
     /// lock is released (no fsync ever runs under a stripe lock).
-    /// `None` means nothing to wait for: no persistence, append failure
-    /// (already counted), or a policy that synced inline.
+    /// `None` means nothing to wait for: no persistence, or an append
+    /// failure (already counted).
     #[must_use]
     fn log_update(
         &self,
@@ -1007,23 +908,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                 self.instruments.wal_bytes.add(outcome.bytes);
                 if let Some(last_lsn) = last_lsn {
                     last_lsn.fetch_max(outcome.lsn, Relaxed);
-                }
-                if !self.cfg.wal_group_commit && matches!(self.cfg.fsync, FsyncPolicy::PerFrame) {
-                    // Benchmark baseline: pay the fsync inline, under the
-                    // append mutex (and the caller's stripe lock) — the
-                    // pre-group-commit behavior the bench compares
-                    // against. No ticket: durability already settled.
-                    match wal.sync_inline() {
-                        Ok(()) => self.instruments.wal_fsyncs.incr(),
-                        Err(e) => {
-                            wal.poisoned = true;
-                            drop(wal);
-                            p.commit.poison();
-                            self.instruments.wal_errors.incr();
-                            self.registry.event(EventKind::WalError, e.to_string());
-                        }
-                    }
-                    return None;
                 }
                 Some(outcome.lsn)
             }
@@ -1105,11 +989,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         synced
     }
 
-    /// The next never-before-used lease generation.
-    fn next_generation(&self) -> u64 {
-        self.lease_generation.fetch_add(1, Relaxed)
-    }
-
     /// The store's configuration (stripe count already normalized).
     pub fn config(&self) -> &StoreConfig {
         &self.cfg
@@ -1151,93 +1030,15 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
 
     /// Feed a batch of values into `key` under a single lock acquisition —
     /// the **shared** stripe lock when the key already exists and its
-    /// engine leases writer handles (see the
-    /// [write path](self#write-path-leased-per-thread-writer-handles)),
-    /// the exclusive lock otherwise.
+    /// engine hands out writer handles (see the
+    /// [write path](self#write-path-one-batch-writer)), the exclusive
+    /// lock otherwise. On a windowed store the batch lands in the key's
+    /// active window.
     ///
     /// Nothing happens for an empty batch: no key is created and no
     /// counter moves.
     pub fn update_many(&self, key: &str, values: &[T]) {
-        if values.is_empty() {
-            return;
-        }
-        // Shared fast path: hot-key writers synchronize only inside the
-        // engine (the paper's Gather&Sort/DCAS points), never on the
-        // stripe.
-        let fast = {
-            let map = self.stripe_of(key).read().unwrap();
-            let checked_out = map
-                .get(key)
-                .and_then(|entry| entry.checkout(self.cfg.writer_pool).map(|h| (entry, h)));
-            match checked_out {
-                Some((entry, mut handle)) => {
-                    // Count before writing (the write is infallible from
-                    // here): a concurrent `stats()` sweep sharing the
-                    // stripe lock must never observe engine weight not
-                    // yet in `updates`.
-                    self.instruments.updates.add(values.len() as u64);
-                    self.instruments.shared_writes.incr();
-                    handle.update_many(values);
-                    // Flush before the handle goes idle: pooled handles
-                    // hold zero weight, so reads are exact at quiescence
-                    // and invalidation can never strand buffered weight.
-                    handle.flush();
-                    // Log under this same shared-lock hold: a checkpoint
-                    // (exclusive) can then never capture weight whose
-                    // record is not yet sequenced, and per-key log order
-                    // matches apply order. The active window id cannot
-                    // move while we hold the stripe shared (transitions
-                    // are exclusive-path), so the tag is exact. The
-                    // durable *wait* happens below, lock free.
-                    let ticket = self.log_update(key, entry.active_wid(), values, &entry.last_lsn);
-                    entry.give_back(handle);
-                    Some(ticket)
-                }
-                None => None,
-            }
-        };
-        if let Some(ticket) = fast {
-            self.finish_log(ticket);
-            return;
-        }
-        // Exclusive slow path: key creation, cold-tier keys (whose
-        // `&mut` updates drive promotion pressure), exhausted pools.
-        let stripe_ix = self.stripe_index(key);
-        let mut map = self.stripes[stripe_ix].write().unwrap();
-        // Probe before inserting: the steady state must not allocate a
-        // `String` per call just to use the entry API.
-        if !map.contains_key(key) {
-            map.insert(
-                key.to_string(),
-                KeyEntry::new(
-                    E::build(&self.cfg, self.key_seed(key)),
-                    self.next_generation(),
-                    self.cfg.window.is_some(),
-                ),
-            );
-            self.instruments.stripe_keys[stripe_ix].inc();
-        }
-        let entry = map.get_mut(key).expect("entry just ensured");
-        // Promotion fires inside the engine on update pressure; observe it
-        // as a tier flip around the write (exclusive path only — leased
-        // writes require an already-hot engine).
-        let tier_before = entry.engine.tier();
-        entry.engine.update_many(values);
-        // Count while still holding the stripe lock: bumping after the
-        // drop let `stats()` observe engine weight not yet in `updates`
-        // (`stream_len > updates` mid-flight, under-reported counters at
-        // shutdown barriers).
-        self.instruments.updates.add(values.len() as u64);
-        self.instruments.fallback_writes.incr();
-        let ticket = self.log_update(key, entry.active_wid(), values, &entry.last_lsn);
-        if tier_before == Tier::Sequential && entry.engine.tier() == Tier::Concurrent {
-            self.instruments.promotions.incr();
-            self.registry.event(EventKind::Promotion, format!("key={key}"));
-        }
-        // Durable wait after the stripe lock is gone: concurrent writers
-        // on this stripe proceed while our group's fsync is in flight.
-        drop(map);
-        self.finish_log(ticket);
+        self.write_batch(key, None, values);
     }
 
     /// Feed a timestamped batch into the window holding `ts_ms` (an
@@ -1245,11 +1046,10 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// clock of its own; see [`crate::window`]).
     ///
     /// * A timestamp in the key's **active window** rides the same
-    ///   shared-lock leased write path as [`SketchStore::update_many`].
+    ///   shared-lock write path as [`SketchStore::update_many`].
     /// * A timestamp **ahead** of the active window rolls the key
     ///   forward: the live engine seals into an immutable summary for the
-    ///   old window and a fresh engine opens for the new one (outstanding
-    ///   writer leases are retired, exactly like tier demotion).
+    ///   old window and a fresh engine opens for the new one.
     /// * A timestamp **behind** the active window is late: within
     ///   [`WindowConfig::lateness`] of the key's watermark it merges into
     ///   the sealed window covering it; beyond that bound the batch is
@@ -1259,148 +1059,131 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// Without [`StoreConfig::window`] this is exactly
     /// [`SketchStore::update_many`] — the timestamp is ignored.
     pub fn update_at(&self, key: &str, ts_ms: u64, values: &[T]) {
-        let Some(plan) = self.window_plan else {
-            self.update_many(key, values);
-            return;
-        };
-        self.update_wid(key, plan.window_id(ts_ms), values, plan);
+        self.write_batch(key, self.window_plan.map(|plan| plan.window_id(ts_ms)), values);
     }
 
-    /// [`SketchStore::update_at`] after timestamp→window-id resolution.
-    /// Recovery replay calls this directly with the logged window id, so
-    /// replayed batches land in the exact window they were applied to —
-    /// no timestamp reconstruction, no drift.
-    fn update_wid(&self, key: &str, wid: u64, values: &[T], plan: WindowPlan) {
+    /// The store's one batch writer. `wid` is the target window: `None`
+    /// is the key's active window (always 0 on an unwindowed store);
+    /// `Some` is a resolved id — from [`SketchStore::update_at`], or the
+    /// logged id during recovery replay, so replayed batches land in the
+    /// exact window they were applied to.
+    fn write_batch(&self, key: &str, wid: Option<u64>, values: &[T]) {
         if values.is_empty() {
             return;
         }
-        // Shared fast path: the batch targets the current active window
-        // of an existing hot key. The active id cannot move while we hold
-        // the stripe shared (every window transition runs under the
-        // exclusive lock), so the brief mutex peek stays valid across the
-        // whole write.
+        // Shared fast path: an existing hot key, batch aimed at its active
+        // window. Hot-key writers synchronize only inside the engine (the
+        // paper's Gather&Sort/DCAS points), never on the stripe.
         let fast = {
             let map = self.stripe_of(key).read().unwrap();
-            let checked_out = map.get(key).and_then(|entry| {
-                let is_active =
-                    entry.windows.as_ref().is_some_and(|w| w.lock().unwrap().active_id == wid);
-                if !is_active {
+            map.get(key).and_then(|entry| {
+                // Every window transition runs under the exclusive lock,
+                // so the active id cannot move while we hold the stripe
+                // shared: the check and the log tag below stay exact.
+                let active = entry.active_wid();
+                if wid.is_some_and(|wid| wid != active) {
                     return None;
                 }
-                entry.checkout(self.cfg.writer_pool).map(|h| (entry, h))
-            });
-            match checked_out {
-                Some((entry, mut handle)) => {
-                    // Same ordering discipline as `update_many`: count,
-                    // write, flush, log — all under the shared hold; the
-                    // durable wait below, lock free.
-                    self.instruments.updates.add(values.len() as u64);
-                    self.instruments.shared_writes.incr();
-                    handle.update_many(values);
-                    handle.flush();
-                    let ticket = self.log_update(key, wid, values, &entry.last_lsn);
-                    entry.give_back(handle);
-                    Some(ticket)
-                }
-                None => None,
-            }
+                let mut handle = entry.checkout(self.cfg.writer_pool)?;
+                // Count before writing (the write is infallible from
+                // here): a concurrent `stats()` sweep sharing the stripe
+                // lock must never observe engine weight not yet in
+                // `updates`.
+                self.instruments.updates.add(values.len() as u64);
+                self.instruments.shared_writes.incr();
+                handle.update_many(values);
+                // Flush before the handle goes back: pooled handles hold
+                // zero weight, so reads are exact at quiescence and
+                // dropping the pool can never strand buffered weight.
+                handle.flush();
+                // Log under this same shared-lock hold: a checkpoint
+                // (exclusive) can then never capture weight whose record
+                // is not yet sequenced, and per-key log order matches
+                // apply order. The durable *wait* happens below, lock
+                // free.
+                let ticket = self.log_update(key, active, values, &entry.last_lsn);
+                entry.give_back(handle);
+                Some(ticket)
+            })
         };
         if let Some(ticket) = fast {
             self.finish_log(ticket);
             return;
         }
-        // Exclusive path: key creation, window transitions (roll forward
-        // or late merge), cold-tier keys, exhausted pools.
+        // Exclusive path: key creation, cold-tier keys (whose `&mut`
+        // updates drive promotion pressure), exhausted pools, window
+        // roll-forward and late merges.
         let stripe_ix = self.stripe_index(key);
         let mut map = self.stripes[stripe_ix].write().unwrap();
+        // Probe before inserting: the steady state must not allocate a
+        // `String` per call just to use the entry API.
         if !map.contains_key(key) {
-            let mut entry = KeyEntry::new(
-                E::build(&self.cfg, self.key_seed(key)),
-                self.next_generation(),
-                true,
-            );
-            let state = entry.windows.as_mut().expect("built windowed").get_mut().unwrap();
-            state.active_id = wid;
-            state.watermark = wid;
-            map.insert(key.to_string(), entry);
+            map.insert(key.to_string(), self.new_entry(key, wid.unwrap_or(0)));
             self.instruments.stripe_keys[stripe_ix].inc();
         }
         let entry = map.get_mut(key).expect("entry just ensured");
-        let (active_id, watermark) = {
-            let state = entry
-                .windows
-                .as_mut()
-                .expect("windowed keys carry window state")
-                .get_mut()
-                .unwrap();
-            (state.active_id, state.watermark)
-        };
-        if wid >= active_id {
-            if wid > active_id {
-                // Roll forward: seal the live engine's contents for the
-                // old active window, then open a fresh engine for the new
-                // one. The old engine's leases and cached summary die
-                // with it — the same retirement as tier demotion, so a
-                // stale lease can never write into the new window.
-                if entry.engine.stream_len() > 0 {
-                    let sealed = entry.engine.to_summary();
-                    let seed = self.key_seed(key);
-                    let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
-                    Self::seal_into(state, active_id, sealed, self.cfg.k, seed);
-                    self.instruments.window_seals.incr();
-                }
-                entry.engine = E::build(&self.cfg, self.key_seed(key));
-                entry.generation = self.next_generation();
-                {
-                    let mut pool = entry.pool.lock().unwrap();
-                    pool.generation = entry.generation;
-                    pool.idle.clear();
-                    pool.minted = 0;
-                }
-                *entry.cache.get_mut().unwrap() = None;
-                let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
-                state.active_id = wid;
-                state.watermark = state.watermark.max(wid);
+        let active = entry.active_wid();
+        let wid = wid.unwrap_or(active);
+        let seed = self.key_seed(key);
+        if wid > active {
+            // Roll forward: seal the live engine's contents for the old
+            // active window, then open a fresh engine for the new one. The
+            // old engine's pooled handles and cached summary go with it.
+            let sealed = (entry.engine.stream_len() > 0).then(|| entry.engine.to_summary());
+            let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
+            if let Some(sealed) = sealed {
+                Self::seal_into(state, active, sealed, self.cfg.k, seed);
+                self.instruments.window_seals.incr();
             }
-            // Active-window write, identical to `update_many`'s fallback
-            // path (including promotion observation).
+            state.active_id = wid;
+            state.watermark = state.watermark.max(wid);
+            entry.engine = E::build(&self.cfg, seed);
+            entry.reset_pool();
+            *entry.cache.get_mut().unwrap() = None;
+        }
+        if wid >= active {
+            // Promotion fires inside the engine on update pressure;
+            // observe it as a tier flip around the write (exclusive path
+            // only — the shared path requires an already-hot engine).
             let tier_before = entry.engine.tier();
             entry.engine.update_many(values);
-            self.instruments.updates.add(values.len() as u64);
-            self.instruments.fallback_writes.incr();
-            let ticket = self.log_update(key, wid, values, &entry.last_lsn);
             if tier_before == Tier::Sequential && entry.engine.tier() == Tier::Concurrent {
                 self.instruments.promotions.incr();
                 self.registry.event(EventKind::Promotion, format!("key={key}"));
             }
-            drop(map);
-            self.finish_log(ticket);
-            return;
-        }
-        // Late value: behind the active window.
-        if !plan.admissible(watermark, wid) {
-            // Dropped and counted — never written, never logged, so
-            // recovery replay (which sees only logged records) drives the
-            // same watermark trajectory and admits exactly the same set.
-            self.instruments.window_late_drops.incr();
-            return;
-        }
-        // Admissible: summarize the batch through a throwaway engine and
-        // merge it, exact-weight, into the sealed window covering `wid`
-        // (or open a new level-0 one).
-        let mut tmp = E::build(&self.cfg, self.key_seed(key));
-        tmp.update_many(values);
-        let addition = tmp.to_summary();
-        let seed = self.key_seed(key);
-        {
+        } else {
+            // Late: behind the active window (so the store is windowed).
+            let plan = self.window_plan.expect("only windowed keys have late windows");
             let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
-            Self::seal_into(state, wid, addition, self.cfg.k, seed);
+            if !plan.admissible(state.watermark, wid) {
+                // Dropped and counted — never written, never logged, so
+                // recovery replay (which sees only logged records) drives
+                // the same watermark trajectory and admits the same set.
+                self.instruments.window_late_drops.incr();
+                return;
+            }
+            // Summarize the batch through a throwaway engine and merge
+            // it, exact-weight, into the sealed window covering `wid` (or
+            // open a new level-0 one).
+            let mut tmp = E::build(&self.cfg, seed);
+            tmp.update_many(values);
+            Self::seal_into(state, wid, tmp.to_summary(), self.cfg.k, seed);
         }
+        // Count while still holding the stripe lock, so `stats()` never
+        // observes engine weight not yet in `updates`.
         self.instruments.updates.add(values.len() as u64);
         self.instruments.fallback_writes.incr();
         let ticket = self.log_update(key, wid, values, &entry.last_lsn);
+        // Durable wait after the stripe lock is gone: concurrent writers
+        // on this stripe proceed while our group's fsync is in flight.
         drop(map);
         self.finish_log(ticket);
+    }
+
+    /// A fresh entry for `key`; on a windowed store its window
+    /// bookkeeping opens at `wid`.
+    fn new_entry(&self, key: &str, wid: u64) -> KeyEntry<T, E> {
+        KeyEntry::new(E::build(&self.cfg, self.key_seed(key)), self.window_plan.map(|_| wid))
     }
 
     /// Merge a summary into `state`'s sealed set at level-0 slot `start`:
@@ -1422,68 +1205,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                 state.sealed.insert(start, SealedWindow { level: 0, summary: Arc::new(summary) });
             }
         }
-    }
-
-    /// Check a writer lease out of `key`'s pool, for callers that reuse a
-    /// per-thread handle across many calls (the serving layer caches one
-    /// per connection per hot key). `None` if the key is absent, its
-    /// engine declines shared writers (cold/sequential tiers), or the
-    /// pool is at capacity — fall back to [`SketchStore::update_many`].
-    pub fn lease_writer(&self, key: &str) -> Option<WriterLease<T>> {
-        let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key)?;
-        let handle = entry.checkout(self.cfg.writer_pool)?;
-        Some(WriterLease {
-            generation: entry.generation,
-            handle: Some(handle),
-            pool: Arc::downgrade(&entry.pool),
-        })
-    }
-
-    /// Feed a batch through a held lease under the shared stripe lock.
-    ///
-    /// Validates the lease generation under the same lock hold as the
-    /// write, so a stale lease — the key was removed, demoted, or
-    /// re-created — is rejected **before** any element moves:
-    /// [`StaleLease`] means no weight was written and no counter was
-    /// bumped; drop the lease and retry through
-    /// [`SketchStore::update_many`]. The handle is flushed before the
-    /// call returns, so the write is fully engine-visible.
-    pub fn update_many_leased(
-        &self,
-        key: &str,
-        lease: &mut WriterLease<T>,
-        values: &[T],
-    ) -> Result<(), StaleLease> {
-        let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key).ok_or(StaleLease)?;
-        if entry.generation != lease.generation {
-            return Err(StaleLease);
-        }
-        if values.is_empty() {
-            return Ok(());
-        }
-        // Same ordering discipline as the pooled fast path: count first,
-        // then write + flush (infallible), all under the shared lock.
-        self.instruments.updates.add(values.len() as u64);
-        self.instruments.shared_writes.incr();
-        let handle = lease.handle.as_mut().expect("lease handle present until drop");
-        handle.update_many(values);
-        handle.flush();
-        let ticket = self.log_update(key, entry.active_wid(), values, &entry.last_lsn);
-        drop(map);
-        self.finish_log(ticket);
-        Ok(())
-    }
-
-    /// Return a lease to `key`'s pool. Equivalent to dropping it — the
-    /// lease's own drop returns the handle through its weak pool
-    /// back-reference when the generation still matches, and a stale
-    /// lease (generation moved, key gone) is discarded; it holds no
-    /// weight by the lease invariant, so nothing is lost either way.
-    pub fn return_lease(&self, key: &str, lease: WriterLease<T>) {
-        let _ = key;
-        drop(lease);
     }
 
     /// φ-quantile estimate over everything `key` has seen (local updates
@@ -1521,8 +1242,8 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// [`version`](qc_common::engine::VersionedSketch::version) against
     /// the cache tag, and clones only the `Arc`. A miss materializes the
     /// summary under the same shared lock and publishes it for subsequent
-    /// readers — exact whenever the engine is settled (no leased write in
-    /// flight); a concurrent leased write can make the materialization a
+    /// readers — exact whenever the engine is settled (no shared write in
+    /// flight); a concurrent shared write can make the materialization a
     /// transiently relaxed view, whose tag the write's own version bump
     /// invalidates when its flush completes.
     pub fn summary_of(&self, key: &str) -> Option<Arc<WeightedSummary>> {
@@ -1551,12 +1272,12 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
             }
         }
         // Rebuild outside the cache mutex so a slow materialization never
-        // blocks warm readers of the previous version. Leased writers may
+        // blocks warm readers of the previous version. Shared writers may
         // move the engine under this same shared lock, so two concurrent
         // misses can materialize *different* summaries — but never under
         // a settled tag: `version` was read before materializing (a
         // summary is never tagged newer than its contents), and every
-        // leased flush bumps the version both before draining previously
+        // shared flush bumps the version both before draining previously
         // visible weight and after landing it, so whatever stale value a
         // racing miss publishes is invalidated by the flush's completion
         // bump. Publishing unconditionally is therefore safe: a wrong
@@ -1695,14 +1416,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         let stripe_ix = self.stripe_index(key);
         let mut map = self.stripes[stripe_ix].write().unwrap();
         if !map.contains_key(key) {
-            map.insert(
-                key.to_string(),
-                KeyEntry::new(
-                    E::build(&self.cfg, self.key_seed(key)),
-                    self.next_generation(),
-                    self.cfg.window.is_some(),
-                ),
-            );
+            map.insert(key.to_string(), self.new_entry(key, 0));
             self.instruments.stripe_keys[stripe_ix].inc();
         }
         let entry = map.get_mut(key).expect("entry just ensured");
@@ -1800,41 +1514,15 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
             for key in keys {
                 let mut map = stripe.write().unwrap();
                 if let Some(entry) = map.get_mut(&key) {
-                    // Flush-on-invalidate, **before** any tier decision:
-                    // pooled handles hold no weight by the lease invariant,
-                    // but flushing them here makes conservation across
-                    // demotion structural rather than an invariant of
-                    // every other code path (a no-op flush is free).
-                    {
-                        let mut pool = entry.pool.lock().unwrap();
-                        for handle in pool.idle.iter_mut() {
-                            handle.flush();
-                        }
-                    }
-                    let migrated = entry.engine.maintain();
-                    let mut pool = entry.pool.lock().unwrap();
-                    if migrated {
+                    if entry.engine.maintain() {
                         changed += 1;
                         self.instruments.demotions.incr();
                         self.registry.event(EventKind::Demotion, format!("key={key}"));
-                        // Tier migration orphans every handle minted for
-                        // the previous engine: retire the generation so
-                        // outstanding leases are rejected at their next
-                        // use (and discarded on drop), and drop the idle
-                        // pool with it.
-                        entry.generation = self.next_generation();
-                        pool.generation = entry.generation;
-                        pool.idle.clear();
-                        pool.minted = 0;
-                    } else {
-                        // Housekeeping sweep drops idle leases: handles
-                        // parked for a whole interval re-mint on demand;
-                        // checked-out leases keep their mint slot.
-                        let idle = pool.idle.len();
-                        pool.minted -= idle;
-                        pool.idle.clear();
                     }
-                    drop(pool);
+                    // Drop the idle handles: they re-mint on demand, and
+                    // after a tier migration they belong to the previous
+                    // engine.
+                    entry.reset_pool();
                     // Housekeeping for the read cache too: drop summaries
                     // the engine has since moved past, so written-then-idle
                     // keys do not pin a stale materialization indefinitely.
@@ -2389,7 +2077,7 @@ mod tests {
         assert_eq!(stats.shared_writes, 2, "hot-key batches must take the shared path");
         assert_eq!(stats.fallback_writes, fallbacks, "no fallback once hot");
         assert_eq!(stats.updates, 400);
-        assert_eq!(stats.stream_len, 400, "leased writes stay exact at quiescence");
+        assert_eq!(stats.stream_len, 400, "shared writes stay exact at quiescence");
         assert_eq!(store.summary_of("k").unwrap().stream_len(), 400);
     }
 
@@ -2419,77 +2107,60 @@ mod tests {
         assert!(store.is_empty(), "an empty batch must not create the key");
         let stats = store.stats();
         assert_eq!((stats.updates, stats.shared_writes, stats.fallback_writes), (0, 0, 0));
-        // Same through a held lease on an existing hot key.
+        // Same on an existing hot key, whose batches take the shared path.
         let store = SketchStore::new(
             StoreConfig::default().stripes(2).k(64).b(4).seed(7).promotion_threshold(0),
         );
         store.update_many("k", &[1.0]);
         store.update_many("k", &[2.0]);
-        let mut lease = store.lease_writer("k").expect("hot key leases");
         let before = store.stats();
-        store.update_many_leased("k", &mut lease, &[]).unwrap();
+        assert_eq!(before.shared_writes, 1);
+        store.update_many("k", &[]);
+        store.update_at("k", 0, &[]);
         let after = store.stats();
         assert_eq!(after.updates, before.updates);
         assert_eq!(after.shared_writes, before.shared_writes);
-        store.return_lease("k", lease);
+        assert_eq!(after.fallback_writes, before.fallback_writes);
     }
 
     #[test]
-    fn lease_survives_reuse_and_goes_stale_on_remove() {
-        let store = SketchStore::new(
-            StoreConfig::default().stripes(2).k(64).b(4).seed(8).promotion_threshold(0),
-        );
-        store.update_many("k", &[0.0, 1.0]);
-        let mut lease = store.lease_writer("k").expect("hot key leases");
-        for i in 0..10u64 {
-            let batch: Vec<f64> = (0..7).map(|j| (i * 7 + j) as f64).collect();
-            store.update_many_leased("k", &mut lease, &batch).unwrap();
-        }
-        assert_eq!(store.summary_of("k").unwrap().stream_len(), 72);
-        // Remove retires the generation: the held lease must be rejected,
-        // and a re-created key must never see its writes.
-        assert!(store.remove("k"));
-        assert_eq!(store.update_many_leased("k", &mut lease, &[9.0]), Err(StaleLease));
-        store.update_many("k", &[5.0]);
-        assert_eq!(store.update_many_leased("k", &mut lease, &[9.0]), Err(StaleLease));
-        assert_eq!(
-            store.summary_of("k").unwrap().stream_len(),
-            1,
-            "no stale write may land in the successor generation"
-        );
-        // Returning the stale lease is a harmless no-op.
-        store.return_lease("k", lease);
-        assert_eq!(store.stats().stream_len, 1);
-    }
-
-    #[test]
-    fn demotion_invalidates_leases_without_losing_weight() {
+    fn demotion_conserves_shared_path_weight() {
         let store = SketchStore::new(
             StoreConfig::default().stripes(2).k(64).b(4).seed(9).promotion_threshold(0),
         );
         store.update_many("k", &(0..100).map(f64::from).collect::<Vec<_>>());
         store.update_many("k", &(100..200).map(f64::from).collect::<Vec<_>>());
-        let mut lease = store.lease_writer("k").expect("hot key leases");
-        store.update_many_leased("k", &mut lease, &[200.0, 201.0, 202.0]).unwrap();
-        // Leased writes count as epoch activity: the sweep that closes
+        store.update_many("k", &[200.0, 201.0, 202.0]);
+        assert_eq!(store.stats().shared_writes, 2);
+        // Shared writes count as epoch activity: the sweep that closes
         // their epoch must not demote; the next (idle) one does.
-        assert_eq!(store.cool_down(), 0, "epoch with the leased write just closed");
+        assert_eq!(store.cool_down(), 0, "epoch with the shared writes just closed");
         assert_eq!(store.cool_down(), 1, "idle epoch demotes");
         assert_eq!(store.stats().hot_keys, 0);
         assert_eq!(
             store.summary_of("k").unwrap().stream_len(),
             203,
-            "demotion must conserve leased weight exactly"
+            "demotion must conserve shared-path weight exactly"
         );
-        assert_eq!(store.update_many_leased("k", &mut lease, &[9.0]), Err(StaleLease));
-        assert_eq!(store.summary_of("k").unwrap().stream_len(), 203);
-        // The normal path keeps working (and re-promotes under pressure).
+        // The key keeps serving (and re-promotes under pressure).
         store.update_many("k", &[300.0]);
-        assert_eq!(store.summary_of("k").unwrap().stream_len(), 204);
+        store.update_many("k", &[301.0]);
+        assert_eq!(store.summary_of("k").unwrap().stream_len(), 205);
+    }
+
+    /// Check handles out of (and back into) `key`'s pool directly, the way
+    /// the shared write path does under the shared stripe lock.
+    fn with_entry<R>(
+        store: &SketchStore,
+        key: &str,
+        f: impl FnOnce(&KeyEntry<f64, TieredEngine<f64>>) -> R,
+    ) -> R {
+        let map = store.stripe_of(key).read().unwrap();
+        f(map.get(key).expect("key present"))
     }
 
     #[test]
-    fn pool_caps_leases_and_sweep_reclaims_idle_handles() {
+    fn pool_caps_handles_and_sweep_reclaims_idle_ones() {
         let store = SketchStore::new(
             StoreConfig::default()
                 .stripes(2)
@@ -2501,56 +2172,42 @@ mod tests {
         );
         store.update_many("k", &[0.0]);
         store.update_many("k", &[1.0]);
-        let lease_a = store.lease_writer("k").expect("first lease");
-        let lease_b = store.lease_writer("k").expect("second lease");
-        assert!(store.lease_writer("k").is_none(), "pool cap must bound minted leases");
-        // update_many still works: the exhausted pool sends it down the
-        // exclusive fallback.
+        let minted =
+            |store: &SketchStore| with_entry(store, "k", |e| e.pool.lock().unwrap().minted);
+        // The shared write above minted one handle and gave it back.
+        assert_eq!(minted(&store), 1);
+        with_entry(&store, "k", |entry| {
+            let a = entry.checkout(2).expect("idle handle");
+            let b = entry.checkout(2).expect("second slot mints");
+            assert!(entry.checkout(2).is_none(), "pool cap must bound minted handles");
+            entry.give_back(a);
+            let c = entry.checkout(2).expect("a given-back handle is reusable");
+            entry.give_back(b);
+            entry.give_back(c);
+        });
+        assert_eq!(minted(&store), 2);
+        // An exhausted pool sends writes down the exclusive path.
+        let held = with_entry(&store, "k", |entry| {
+            [entry.checkout(2).unwrap(), entry.checkout(2).unwrap()]
+        });
+        with_entry(&store, "k", |entry| assert!(entry.checkout(2).is_none()));
+        let fallbacks = store.stats().fallback_writes;
+        // (Safe only because this test holds no lock: the exclusive path
+        // takes the stripe while the two handles sit outside the pool.)
         store.update_many("k", &[2.0]);
-        assert!(store.stats().fallback_writes >= 1);
-        store.return_lease("k", lease_a);
-        let lease_c = store.lease_writer("k").expect("returned handles are reusable");
-        // Park both handles and sweep: idle leases are dropped and their
-        // mint slots freed, so the pool can mint fresh ones afterwards.
-        store.return_lease("k", lease_b);
-        store.return_lease("k", lease_c);
+        assert_eq!(store.stats().fallback_writes, fallbacks + 1);
+        with_entry(&store, "k", |entry| held.into_iter().for_each(|h| entry.give_back(h)));
+        // The sweep drops idle handles and frees their mint slots.
         store.cool_down();
-        store.update_many("k", &[3.0]); // keep the key hot across the sweep
-        let fresh_a = store.lease_writer("k").expect("sweep must free idle mint slots");
-        let fresh_b = store.lease_writer("k").expect("both slots mint again");
-        assert!(store.lease_writer("k").is_none(), "cap still enforced");
-        store.return_lease("k", fresh_a);
-        store.return_lease("k", fresh_b);
-        assert_eq!(store.stats().stream_len, 4);
-    }
-
-    #[test]
-    fn dropped_leases_release_their_mint_slots_immediately() {
-        // A lease abandoned without `return_lease` (caller bug, worker
-        // panic unwinding a connection's cache) must not pin its mint
-        // slot: the drop returns the handle through the weak pool
-        // back-reference, no housekeeping sweep required.
-        let store = SketchStore::new(
-            StoreConfig::default()
-                .stripes(2)
-                .k(64)
-                .b(4)
-                .seed(11)
-                .promotion_threshold(0)
-                .writer_pool(1),
-        );
-        store.update_many("k", &[0.0]);
-        store.update_many("k", &[1.0]);
-        let lease = store.lease_writer("k").expect("hot key leases");
-        assert!(store.lease_writer("k").is_none(), "single slot checked out");
-        drop(lease);
-        let again = store.lease_writer("k").expect("dropped lease must free its slot");
-        drop(again);
-        // And a stale drop (after removal) is a harmless no-op.
-        let lease = store.lease_writer("k").expect("slot free again");
-        store.remove("k");
-        drop(lease);
-        assert!(store.is_empty());
+        assert_eq!(minted(&store), 0);
+        with_entry(&store, "k", |entry| {
+            let a = entry.checkout(2).expect("sweep must free idle mint slots");
+            let b = entry.checkout(2).expect("both slots mint again");
+            assert!(entry.checkout(2).is_none(), "cap still enforced");
+            entry.give_back(a);
+            entry.give_back(b);
+        });
+        assert_eq!(store.stats().stream_len, 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! store composes over its engines:
 //!
 //! * the **active window** of a key is its live engine (the full
-//!   shared-lock leased write path and summary cache apply unchanged);
+//!   shared-lock write path and summary cache apply unchanged);
 //! * **sealed windows** are immutable [`WeightedSummary`] snapshots,
 //!   keyed by their level-0 start id in a [`BTreeMap`] so time-range
 //!   reads walk them in order without any lock beyond the shared stripe

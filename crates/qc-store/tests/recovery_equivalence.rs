@@ -8,25 +8,65 @@
 //! (per-key sketch seeds derive from the config seed) and every op is
 //! exactly one log record, so truncating the log at a frame boundary is
 //! the same thing as truncating the op sequence.
+//!
+//! The windowed case pins replay by logged window id: timestamped batches
+//! that roll a key forward, hit its active window, or merge late must
+//! land in the same windows on replay, and batches dropped beyond the
+//! lateness bound write no record at all.
+
+use std::collections::HashMap;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use qc_store::persist::{parse_segment, FILE_HEADER_LEN};
-use qc_store::{SketchStore, StoreConfig};
+use qc_store::{encode_summary, SketchStore, StoreConfig, WindowConfig};
 use qc_workloads::tempdir::TempDir;
 
 const KEYS: [&str; 3] = ["alpha", "beta", "gamma"];
 
+/// Windowed config: level-0 window width and lateness bound (windows).
+const WIDTH_MS: u64 = 1000;
+const LATENESS: u64 = 2;
+
 #[derive(Clone, Debug)]
 enum Op {
-    UpdateMany { key: usize, values: Vec<f64> },
-    Remove { key: usize },
+    UpdateMany {
+        key: usize,
+        values: Vec<f64>,
+    },
+    /// `update_at` with an event time inside window `wid`.
+    UpdateAt {
+        key: usize,
+        wid: u64,
+        values: Vec<f64>,
+    },
+    Remove {
+        key: usize,
+    },
+}
+
+fn values_strategy() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(-1000i32..1000, 1..12)
+        .prop_map(|raw| raw.into_iter().map(f64::from).collect())
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..KEYS.len(), prop::collection::vec(-1000i32..1000, 1..12)).prop_map(
-            |(key, raw)| Op::UpdateMany { key, values: raw.into_iter().map(f64::from).collect() }
-        ),
+        (0usize..KEYS.len(), values_strategy())
+            .prop_map(|(key, values)| Op::UpdateMany { key, values }),
+        (0usize..KEYS.len()).prop_map(|key| Op::Remove { key }),
+    ]
+}
+
+/// Plain and timestamped writes plus removals; window ids span a few
+/// lateness bounds, so rolls, active hits, late merges and drops all
+/// occur.
+fn windowed_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..KEYS.len(), values_strategy())
+            .prop_map(|(key, values)| Op::UpdateMany { key, values }),
+        (0usize..KEYS.len(), 0u64..12, values_strategy())
+            .prop_map(|(key, wid, values)| Op::UpdateAt { key, wid, values }),
         (0usize..KEYS.len()).prop_map(|key| Op::Remove { key }),
     ]
 }
@@ -35,13 +75,49 @@ fn base_cfg() -> StoreConfig {
     StoreConfig::default().stripes(2).k(32).b(4).seed(11)
 }
 
+fn windowed_cfg() -> StoreConfig {
+    base_cfg().window(
+        WindowConfig::default()
+            .width(Duration::from_millis(WIDTH_MS))
+            .downsample_levels(1)
+            .lateness(Duration::from_millis(LATENESS * WIDTH_MS)),
+    )
+}
+
 fn apply(store: &SketchStore<f64>, op: &Op) {
     match op {
         Op::UpdateMany { key, values } => store.update_many(KEYS[*key], values),
+        Op::UpdateAt { key, wid, values } => store.update_at(KEYS[*key], wid * WIDTH_MS, values),
         Op::Remove { key } => {
             store.remove(KEYS[*key]);
         }
     }
+}
+
+/// The ops that hit the log, in order: every update except a timestamped
+/// batch dropped beyond the lateness bound, and a remove only when the
+/// key was resident. Replaying the record prefix therefore equals
+/// executing this *recorded* op prefix.
+fn recorded(ops: &[Op]) -> Vec<&Op> {
+    // Active window id per resident key (`update_many` creates at 0).
+    let mut live: HashMap<usize, u64> = HashMap::new();
+    ops.iter()
+        .filter(|op| match op {
+            Op::UpdateMany { key, .. } => {
+                live.entry(*key).or_insert(0);
+                true
+            }
+            Op::UpdateAt { key, wid, .. } => {
+                let active = live.entry(*key).or_insert(*wid);
+                if *wid + LATENESS < *active {
+                    return false;
+                }
+                *active = (*active).max(*wid);
+                true
+            }
+            Op::Remove { key } => live.remove(key).is_some(),
+        })
+        .collect()
 }
 
 /// Sorted `(key, summary frame)` pairs — the store's entire observable
@@ -57,8 +133,85 @@ fn state_of(store: &SketchStore<f64>) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
+/// One key's window bookkeeping in wire form: key, active id,
+/// watermark, active summary frame, and every sealed window as
+/// `(start id, level, summary frame)`.
+type KeyWindows = (String, u64, u64, Vec<u8>, Vec<(u64, u8, Vec<u8>)>);
+
+/// Every key's [`KeyWindows`], in key order.
+fn windows_of(store: &SketchStore<f64>) -> Vec<KeyWindows> {
+    let mut keys = store.keys();
+    keys.sort();
+    keys.into_iter()
+        .map(|k| {
+            let snap = store.window_snapshot(&k).expect("windowed key");
+            let sealed = snap
+                .sealed
+                .iter()
+                .map(|(start, level, summary)| (*start, *level, encode_summary(summary)))
+                .collect();
+            (k, snap.active_id, snap.watermark, encode_summary(&snap.active), sealed)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The windowed counterpart of the arbitrary-cut property: replay by
+    /// logged window id rebuilds every key's windows exactly — active
+    /// id, watermark, active summary and every sealed window — as a
+    /// reference that executed the durable prefix, whose late-dropped
+    /// batches were never logged.
+    #[test]
+    fn windowed_recovery_equals_executing_the_durable_prefix(
+        ops in prop::collection::vec(windowed_op_strategy(), 1..40),
+        cut_frac in 0.0f64..=1.0,
+    ) {
+        let dir = TempDir::new("recover-windowed");
+        let (durable, _) =
+            SketchStore::<f64>::recover(windowed_cfg().data_dir(dir.path())).unwrap();
+        for op in &ops {
+            apply(&durable, op);
+        }
+        drop(durable);
+        let recorded = recorded(&ops);
+
+        let segment = {
+            let mut logs: Vec<_> = std::fs::read_dir(dir.path())
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "log"))
+                .collect();
+            prop_assert_eq!(logs.len(), 1, "no rotation without checkpoints");
+            logs.pop().unwrap()
+        };
+        let bytes = std::fs::read(&segment).unwrap();
+        let scan = parse_segment(&bytes);
+        prop_assert!(scan.error.is_none());
+        prop_assert_eq!(scan.records.len(), recorded.len(), "late drops write no record");
+
+        let span = bytes.len() - FILE_HEADER_LEN;
+        let cut = FILE_HEADER_LEN + (span as f64 * cut_frac) as usize;
+        std::fs::write(&segment, &bytes[..cut]).unwrap();
+        let survivors = scan.records.iter().filter(|r| r.end <= cut).count();
+
+        let (recovered, report) =
+            SketchStore::<f64>::recover(windowed_cfg().data_dir(dir.path())).unwrap();
+        prop_assert_eq!(report.records_applied, survivors as u64);
+
+        let reference = SketchStore::<f64>::new(windowed_cfg());
+        for op in &recorded[..survivors] {
+            apply(&reference, op);
+        }
+        prop_assert_eq!(state_of(&recovered), state_of(&reference));
+        prop_assert_eq!(
+            windows_of(&recovered),
+            windows_of(&reference),
+            "recovered windows must be byte-identical to executing the {survivors}-op prefix"
+        );
+        prop_assert_eq!(recovered.stats().stream_len, reference.stats().stream_len);
+    }
 
     /// Crash at an arbitrary byte of the log: the recovered store equals
     /// a reference store that executed exactly the durable whole-frame
@@ -76,21 +229,7 @@ proptest! {
         }
         drop(durable);
 
-        // An op hits the log iff it changed something: every update does,
-        // a remove only when the key was resident. Replaying the record
-        // prefix therefore equals executing this *recorded* op prefix.
-        let recorded: Vec<&Op> = {
-            let mut live = std::collections::HashSet::new();
-            ops.iter()
-                .filter(|op| match op {
-                    Op::UpdateMany { key, .. } => {
-                        live.insert(*key);
-                        true
-                    }
-                    Op::Remove { key } => live.remove(key),
-                })
-                .collect()
-        };
+        let recorded = recorded(&ops);
 
         // One op = one record, appended in program order; no checkpoint
         // ran, so the whole history is in the single active segment.
@@ -160,19 +299,7 @@ proptest! {
         }
         drop(durable);
 
-        // Same record/op correspondence as the arbitrary-cut property.
-        let recorded: Vec<&Op> = {
-            let mut live = std::collections::HashSet::new();
-            ops.iter()
-                .filter(|op| match op {
-                    Op::UpdateMany { key, .. } => {
-                        live.insert(*key);
-                        true
-                    }
-                    Op::Remove { key } => live.remove(key),
-                })
-                .collect()
-        };
+        let recorded = recorded(&ops);
 
         let segment: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qc_common::Summary;
-use qc_store::{SketchStore, StaleLease, StoreConfig};
+use qc_store::{SketchStore, StoreConfig};
 
 fn cfg(seed: u64) -> StoreConfig {
     StoreConfig::default().stripes(2).k(128).b(4).seed(seed).promotion_threshold(128)
@@ -125,58 +125,52 @@ fn writers_race_cool_down_without_losing_weight() {
     assert_eq!(store.summary_of("contended").unwrap().stream_len(), total);
 }
 
-/// Server-style leases held across calls from multiple threads, racing
-/// removal: every accepted leased write is resident, every rejected one
-/// is re-routed exactly once, and the post-removal weight equals exactly
-/// what was written after the removal.
+/// Hot-key writers racing removal from multiple threads: every batch is
+/// applied exactly once, to whichever incarnation of the key is resident
+/// when it lands, and the survivor holds only what landed after the last
+/// removal.
 #[test]
-fn held_leases_race_removal_with_exact_accounting() {
+fn update_many_races_removal_with_exact_accounting() {
     const THREADS: usize = 4;
-    const ROUNDS: usize = 300;
+    const REMOVALS: usize = 20;
     const BATCH: usize = 16;
 
     let store = Arc::new(SketchStore::new(cfg(3).promotion_threshold(0)));
     store.update_many("k", &[0.5]);
     let applied = Arc::new(AtomicU64::new(1));
+    let batches = Arc::new(AtomicU64::new(1));
+    let removals_done = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let store = Arc::clone(&store);
             let applied = Arc::clone(&applied);
+            let batches = Arc::clone(&batches);
+            let removals_done = Arc::clone(&removals_done);
             s.spawn(move || {
-                let mut lease = None;
-                for i in 0..ROUNDS {
-                    let base = (t * ROUNDS + i) * BATCH;
+                // Keep writing until every removal has happened, so each
+                // one lands among batches in flight on both write paths.
+                let mut i = 0usize;
+                while !removals_done.load(Ordering::Relaxed) {
+                    let base = (t << 32) + i * BATCH;
                     let batch: Vec<f64> = (0..BATCH).map(|j| (base + j) as f64).collect();
-                    if lease.is_none() {
-                        lease = store.lease_writer("k");
-                    }
-                    match lease.as_mut() {
-                        Some(held) => match store.update_many_leased("k", held, &batch) {
-                            Ok(()) => {}
-                            Err(StaleLease) => {
-                                lease = None;
-                                store.update_many("k", &batch);
-                            }
-                        },
-                        None => store.update_many("k", &batch),
-                    }
+                    store.update_many("k", &batch);
                     applied.fetch_add(BATCH as u64, Ordering::Relaxed);
-                }
-                if let Some(held) = lease.take() {
-                    store.return_lease("k", held);
+                    batches.fetch_add(1, Ordering::Relaxed);
+                    i += 1;
                 }
             });
         }
-        // Removal thread: periodically wipe the key mid-traffic, forcing
-        // held leases stale while batches are in flight.
+        // Removal thread: periodically wipe the key mid-traffic.
         {
             let store = Arc::clone(&store);
+            let removals_done = Arc::clone(&removals_done);
             s.spawn(move || {
-                for _ in 0..5 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                for _ in 0..REMOVALS {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                     store.remove("k");
                 }
+                removals_done.store(true, Ordering::Relaxed);
             });
         }
     });
@@ -186,7 +180,12 @@ fn held_leases_race_removal_with_exact_accounting() {
     // (the exactness half we can assert without racing the removals).
     let stats = store.stats();
     assert_eq!(stats.updates, applied.load(Ordering::Relaxed));
+    assert_eq!(stats.shared_writes + stats.fallback_writes, batches.load(Ordering::Relaxed));
+    assert!(stats.shared_writes > 0, "hot-key batches must ride the shared path");
     let resident = store.summary_of("k").map(|s| s.stream_len()).unwrap_or(0);
     assert!(resident <= stats.updates);
     assert_eq!(stats.stream_len, resident, "only the surviving key holds weight");
+    // Quiescent again: one more batch lands on the survivor exactly.
+    store.update_many("k", &[1.0; BATCH]);
+    assert_eq!(store.summary_of("k").unwrap().stream_len(), resident + BATCH as u64);
 }

@@ -21,8 +21,9 @@
 //! * [`server`] — the TCP serving layer over the store: binary protocol,
 //!   thread-pooled connection handling, and the blocking client.
 //! * [`ingest`] — the high-rate UDP front door: CRC-checked batched
-//!   datagrams, a never-blocking socket thread feeding lease-reusing
-//!   processors, exact drop accounting, and an overload circuit breaker.
+//!   datagrams, a never-blocking socket thread feeding processors that
+//!   write through the store's shared-lock path, exact drop accounting,
+//!   and an overload circuit breaker.
 //! * [`load`] — the traffic harness: open-loop UDP writers plus TCP
 //!   queriers with self-sketched latency percentiles and machine-readable
 //!   JSON reports (the `qc_load` binary).
